@@ -1,9 +1,9 @@
 """Shared helpers for the table benchmarks.
 
 Each benchmark measures one end-to-end detection run — a fresh Spark
-pattern-statistics store per round (so memoised aggregations from earlier
+pattern-statistics store per round (so memoised statistics from earlier
 rounds cannot flatter later ones) plus the full search. ``extra_info``
-records patterns examined and Spark aggregation counts so
+records patterns examined and statistics computed so
 ``bench_output.txt`` carries the paper's search-effort metric next to the
 timings.
 """
@@ -39,7 +39,7 @@ def bench_detection(
     last = outcomes[-1]
     assert not last.timed_out
     benchmark.extra_info["examined"] = last.examined
-    benchmark.extra_info["spark_aggregations"] = last.store_jobs
+    benchmark.extra_info["store_jobs"] = last.store_jobs
     benchmark.extra_info["search_s"] = round(last.search_s, 4)
     benchmark.extra_info["dataset"] = ds.name
     return last

@@ -41,7 +41,6 @@ from repro.core.pattern import (
 )
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
-from repro.core.topdown import child_attr_sets
 
 _PASS, _RES, _DRES = 0, 1, 2
 
@@ -119,7 +118,6 @@ class _PropState:
         """Generate ``p``'s search-tree children (τ_s-substantial only) and
         evaluate each — recursing through their own expansions."""
         self.expanded.add(p)
-        self.store.prefetch(child_attr_sets(p, len(self.store.domains)))
         kept: list[Pattern] = []
         for child in children(p, self.store.domains):
             self.stats.examined += 1

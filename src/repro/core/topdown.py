@@ -17,24 +17,9 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.bounds import GlobalSpec, PropSpec
-from repro.core.pattern import (
-    EMPTY,
-    Pattern,
-    attr_indices,
-    children,
-    has_ancestor_in,
-    max_index,
-)
+from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
 from repro.core.result import SearchStats
 from repro.core.store import BaseStatsStore
-
-
-def child_attr_sets(p: Pattern, n_attrs: int) -> list[tuple[int, ...]]:
-    """The attribute sets spanned by ``p``'s search-tree children — handed
-    to ``store.prefetch`` so one batched aggregation covers the whole
-    expansion instead of one job per child attribute set."""
-    base = attr_indices(p)
-    return [base + (j,) for j in range(max_index(p) + 1, n_attrs)]
 
 
 def top_down_search(
@@ -57,7 +42,6 @@ def top_down_search(
     start = roots if roots is not None else [EMPTY]
     queue: deque[Pattern] = deque()
     for r in start:
-        store.prefetch(child_attr_sets(r, len(store.domains)))
         queue.extend(children(r, store.domains))
     _drain(store, spec, tau, k, stats, queue, res, dres)
     return res, dres
@@ -75,7 +59,6 @@ def resume_search(
 ) -> None:
     """``searchFromNode``: continue the top-down search from ``node``'s
     search-tree children, updating ``res``/``dres`` in place."""
-    store.prefetch(child_attr_sets(node, len(store.domains)))
     queue: deque[Pattern] = deque(children(node, store.domains))
     _drain(store, spec, tau, k, stats, queue, res, dres)
 
@@ -106,5 +89,4 @@ def _drain(
             else:
                 res.add(p)
         else:
-            store.prefetch(child_attr_sets(p, len(domains)))
             queue.extend(children(p, domains))

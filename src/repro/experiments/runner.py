@@ -25,10 +25,11 @@ class RunOutcome:
     """Measured outcome of one run (``timed_out`` runs carry partial
     effort counters and no result).
 
-    ``time_s`` is end to end; ``agg_s`` is the share spent in store
-    aggregations (the counting substrate, identical for every algorithm on
-    the same inputs); ``search_s = time_s − agg_s`` is the algorithmic cost
-    the paper's figures compare.
+    ``time_s`` covers the whole search (the store's Spark query runs when the
+    store is built, before it); ``agg_s`` is the share spent computing
+    pattern statistics (the counting substrate, identical for every
+    algorithm on the same inputs); ``search_s = time_s − agg_s`` is the
+    algorithmic cost the paper's figures compare.
     """
 
     problem: str
@@ -58,7 +59,18 @@ def run_algorithm(
 ) -> RunOutcome:
     """Run one algorithm end to end; a deadline overrun returns a
     ``timed_out`` outcome instead of raising (matching the paper's
-    10-minute-timeout sweeps where slow points are reported as such)."""
+    10-minute-timeout sweeps where slow points are reported as such).
+
+    Raises ``ValueError`` naming the parameter when ``tau < 1``,
+    ``k_min < 1``, ``k_min > k_max`` or ``k_max > store.n``."""
+    if tau < 1:
+        raise ValueError(f"tau must be at least 1, got {tau}")
+    if k_min < 1:
+        raise ValueError(f"k_min must be at least 1, got {k_min}")
+    if k_min > k_max:
+        raise ValueError(f"k_min ({k_min}) must not exceed k_max ({k_max})")
+    if k_max > store.n:
+        raise ValueError(f"k_max ({k_max}) must not exceed n ({store.n})")
     fn = ALGORITHMS[(problem, algo)]
     jobs_before = store.jobs
     agg_before = store.agg_seconds

@@ -2,7 +2,7 @@
 patterns-examined / result-size statistics.
 
 Each sweep point builds a *fresh* store per algorithm, so the measured time
-is end to end (Spark aggregations included) for baseline and optimized
+includes computing every pattern statistic for baseline and optimized
 alike — the paper measures complete runs the same way. ``store_factory``
 selects the substrate: ``RankedDataset.spark_store`` for the real
 experiments, ``RankedDataset.pandas_store`` for fast smoke tests.

@@ -15,8 +15,8 @@ def _fmt(out: RunOutcome) -> tuple[str, str, str]:
 def format_rows(rows: list[dict], x_key: str) -> str:
     """One markdown table per sweep.
 
-    "search s" excludes the shared Spark counting substrate (store
-    aggregations, ``agg_s``) — it is the algorithmic cost the paper's
+    "search s" excludes the shared counting substrate (pattern statistics
+    computed by the store, ``agg_s``) — it is the algorithmic cost the paper's
     figures compare; "total s" is end to end. The search-time speedup and
     the patterns-examined gain are the reproduction targets.
     """

@@ -47,6 +47,23 @@ class TestRunner:
         assert out.timed_out
         assert out.res is None
 
+    @pytest.mark.parametrize(
+        "tau, k_min, k_max, bad",
+        [
+            (0, 3, 10, "tau"),
+            (3, 0, 10, "k_min"),
+            (3, 11, 10, "k_min"),
+            (3, 3, 17, "k_max"),
+        ],
+    )
+    def test_bad_parameters_rejected(self, paper_ds, tau, k_min, k_max, bad):
+        """The running example has n = 16 tuples."""
+        with pytest.raises(ValueError, match=bad):
+            run_algorithm(
+                paper_ds.pandas_store(), "global", "baseline",
+                GlobalSpec({3: 2}), tau, k_min, k_max,
+            )
+
 
 class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])

@@ -1,8 +1,16 @@
 """Spark pattern-statistics store: equivalence with the pandas twin and
 with the DuckDB oracle (repro.oracle.assert_equivalent)."""
+from itertools import combinations
+
+import duckdb
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.bounds import PropSpec
+from repro.core.prop_bounds import prop_bounds
+from repro.core.store import PandasStatsStore, SparkStatsStore
+from repro.experiments.runner import run_algorithm
 from repro.oracle import assert_equivalent
 
 
@@ -33,23 +41,34 @@ def test_spark_row_at_rank(stores):
 
 
 def test_group_counts_against_duckdb(paper_ds_spark):
-    """The aggregation feeding the store, checked by the DuckDB oracle
-    (scalar projection: count + rank extrema, arrays are not orderable)."""
-    df = paper_ds_spark.df
-    agg = df.groupBy("Gender", "School").agg(
-        F.count(F.lit(1)).alias("cnt"),
-        F.min("rank").alias("min_rank"),
-        F.sum("rank").alias("sum_rank"),
-    )
-    assert_equivalent(
-        agg,
-        """
-        SELECT Gender, School, count(*) AS cnt,
-               min(rank) AS min_rank, sum(rank) AS sum_rank
-        FROM students GROUP BY Gender, School
-        """,
-        students=paper_ds_spark.pdf,
-    )
+    """The store's one Spark query, and the group counts served from it,
+    checked by the DuckDB oracle. The query's rows come back in rank order,
+    so the store's rows must equal DuckDB's ``ORDER BY rank`` row for row."""
+    ds = paper_ds_spark
+    attrs = ds.pattern_attrs
+    cols = ", ".join(f"CAST({a} AS VARCHAR) AS {a}" for a in attrs)
+    sql = f"SELECT {cols}, CAST(rank AS BIGINT) AS rank FROM students"
+    query = SparkStatsStore.query(ds.df, attrs)
+    assert_equivalent(query, sql + " ORDER BY rank", students=ds.pdf)
+
+    con = duckdb.connect()
+    try:
+        con.register("students", ds.pdf)
+        ordered = con.execute(sql + " ORDER BY rank").fetchall()
+        counts = con.execute(
+            "SELECT Gender, School, count(*), min(rank), sum(rank) "
+            "FROM students GROUP BY Gender, School"
+        ).fetchall()
+    finally:
+        con.close()
+    store = ds.spark_store()
+    assert [store.row_at_rank(k) for k in range(1, store.n + 1)] == [
+        row[:-1] for row in ordered
+    ]
+    group = store.group((0, 1))
+    assert {
+        key: (st.size, st.ranks[0], sum(st.ranks)) for key, st in group.items()
+    } == {(g, s): (c, lo, total) for g, s, c, lo, total in counts}
 
 
 def test_topk_counts_against_duckdb(paper_ds_spark):
@@ -71,11 +90,13 @@ def test_topk_counts_against_duckdb(paper_ds_spark):
 
 
 def test_spark_store_on_synthetic_dataset(student_ds):
-    """Spark vs pandas store on a real-sized dataset (395 rows, many
-    attribute combinations)."""
+    """Spark vs pandas store on a real-sized dataset (395 rows): every
+    attribute subset of up to three attributes."""
     ps, ss = student_ds.pandas_store(), student_ds.spark_store()
-    for attrs in [(0,), (6,), (0, 1), (1, 3), (0, 1, 2, 3)]:
-        assert ss.group(attrs) == ps.group(attrs)
+    m = len(student_ds.pattern_attrs)
+    for r in (1, 2, 3):
+        for attrs in combinations(range(m), r):
+            assert ss.group(attrs) == ps.group(attrs), attrs
     assert ss.domains == ps.domains
 
 
@@ -88,43 +109,62 @@ def test_jobs_counter_tracks_cache_misses(paper_ds_spark):
     assert ss.jobs == 2
 
 
-class TestPrefetch:
-    """The batched GROUPING SETS path must produce byte-identical group
-    dicts to per-set aggregation, in a single Spark job."""
+def test_stat_memoised_per_pattern(paper_ds_spark):
+    ss = paper_ds_spark.spark_store()
+    p = ((0, "F"), (2, "U"))
+    assert ss.stat(p) == paper_ds_spark.pandas_store().stat(p)
+    assert ss.stat(p) is ss.stat(p)
+    assert (ss.jobs, ss.lookups) == (1, 3)
+    assert ss.stat(((0, "X"),)) is None
 
-    def test_prefetch_matches_per_set(self, paper_ds_spark):
-        batched = paper_ds_spark.spark_store()
-        sets = [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2, 3)]
-        batched.prefetch(sets)
-        assert batched.jobs == 1
-        loop = paper_ds_spark.pandas_store()
-        for s in sets:
-            assert batched.group(s) == loop.group(s)
-        assert batched.jobs == 1  # all served from the prefetch
 
-    def test_prefetch_skips_cached_and_empty(self, paper_ds_spark):
-        ss = paper_ds_spark.spark_store()
-        ss.group((0,))
-        jobs = ss.jobs
-        ss.prefetch([(), (0,)])
-        assert ss.jobs == jobs
+def test_detection_runs_a_constant_number_of_spark_jobs(spark, student_ds):
+    """A full PROPBOUNDS detection on the Spark store starts the same
+    number of Spark jobs, at most 2, whatever the number of attributes:
+    the store's one query is all that runs in Spark."""
+    sc = spark.sparkContext
+    jobs = []
+    for m in (3, 6):
+        group = f"store-jobs-{m}"
+        sc.setJobGroup(group, "one detection")
+        try:
+            store = student_ds.with_attrs(m).spark_store()
+            prop_bounds(store, PropSpec(0.8), 20, 10, 49)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+    assert jobs[0] == jobs[1] <= 2, jobs
 
-    def test_prefetch_single_missing_uses_plain_group(self, paper_ds_spark):
-        ss = paper_ds_spark.spark_store()
-        ss.prefetch([(2,)])
-        assert ss.jobs == 1
-        assert ss.group((2,)) == paper_ds_spark.pandas_store().group((2,))
 
-    def test_prefetch_chunking(self, student_ds):
-        """More sets than one batch: chunked into several jobs, results
-        still correct."""
-        from itertools import combinations
+def test_nulls_match_no_pattern(spark):
+    """A null pattern-attribute value is in no domain, group or pattern, on
+    both stores (no phantom ``'None'`` value)."""
+    pdf = pd.DataFrame(
+        {
+            "a": ["x", None, "y", "x", None, "y", "x", "y", None, "x"],
+            "b": ["p", "q", None, "p", "q", "q", None, "p", "p", "q"],
+            "rank": list(range(1, 11)),
+        }
+    )
+    df = spark.createDataFrame(pdf)
+    ps = PandasStatsStore(pdf, ["a", "b"])
+    ss = SparkStatsStore(df, ["a", "b"])
+    assert ss.domains == ps.domains == [["x", "y"], ["p", "q"]]
+    for attrs in [(0,), (1,), (0, 1)]:
+        assert ss.group(attrs) == ps.group(attrs)
+        for vals in ps.group(attrs):
+            p = tuple(zip(attrs, vals))
+            assert ss.stat(p) == ps.stat(p)
+    assert ss.stat(((0, "None"),)) is None
+    for algo in ("baseline", "optimized"):
+        out = run_algorithm(ss, "prop", algo, PropSpec(0.8), 2, 1, 10)
+        found = {p for res in out.res.values() for p in res}
+        assert found
+        assert all(v != "None" for p in found for _, v in p)
 
-        ss = student_ds.spark_store()
-        sets = list(combinations(range(8), 2))  # 28 sets
-        ss._PREFETCH_CHUNK = 10
-        ss.prefetch(sets)
-        assert ss.jobs == 3
-        ps = student_ds.pandas_store()
-        for s in sets[:5]:
-            assert ss.group(s) == ps.group(s)
+
+def test_rank_must_be_dense(spark):
+    pdf = pd.DataFrame({"a": ["x", "y", "x"], "rank": [1, 2, 4]})
+    with pytest.raises(ValueError, match="rank"):
+        SparkStatsStore(spark.createDataFrame(pdf), ["a"])
