@@ -71,6 +71,12 @@ class PropSpec:
 
     alpha: float
 
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha!r}"
+            )
+
     def violates(self, c: int, size: int, k: int, n: int) -> bool:
         """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2)."""
         return c < self.alpha * size * k / n

@@ -5,23 +5,23 @@ the single tuple ``R(D)[k+1]``, and with a fixed lower bound top-k counts
 only grow with k — so *passing is absorbing*. Invariants maintained between
 consecutive k values (when ``L_k`` is unchanged):
 
-* ``Res ∪ DRes`` is exactly the set of generated, currently-violating
-  patterns (with ``s_D ≥ τ_s``); ``Res`` holds the most general ones, and
-  every ``DRes`` entry has a pattern-graph ancestor in ``Res``;
+* ``violating`` (the paper's ``Res ∪ DRes``) is exactly the set of
+  generated, currently-violating patterns (with ``s_D ≥ τ_s``);
 * every generated pattern that passes the bound has been expanded (its
   search-tree children generated) — either during a full search or by
   ``searchFromNode`` at the step it crossed the bound.
 
 Per step only patterns satisfied by the new tuple can cross from violating
-to passing (Proposition 4.3 bounds these by half the tree); each crosser is
-expanded, then a promotion pass moves ``DRes`` entries whose ``Res``
-ancestors all crossed into ``Res``. When the bound increases, a fresh full
+to passing (Proposition 4.3 bounds these by half the tree); each crosser
+leaves ``violating`` and is expanded. ``Res`` is derived from ``violating``
+by :func:`normalize_frontier`, only on steps with crossers; other steps
+reuse the previous ``Res``. When the bound increases, a fresh full
 top-down search runs (Algorithm 2, lines 4–5).
 """
 from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec
-from repro.core.pattern import has_ancestor_in, satisfies
+from repro.core.pattern import normalize_frontier, satisfies
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import resume_search, top_down_search
@@ -38,21 +38,20 @@ def global_bounds(
     """Detect most general patterns with biased representation (global
     lower bounds) for every k in ``[k_min, k_max]``."""
     stats = SearchStats(deadline=deadline)
-    out: dict[int, frozenset] = {}
-    res, dres = top_down_search(store, spec, tau, k_min, stats)
-    out[k_min] = frozenset(res)
+    violating = top_down_search(store, spec, tau, k_min, stats)
+    res = normalize_frontier(violating)
+    out = {k_min: res}
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
         if spec.L(k) > spec.L(k - 1):
             # Bound increased: previous search state is invalid; restart.
-            res, dres = top_down_search(store, spec, tau, k, stats)
+            violating = top_down_search(store, spec, tau, k, stats)
+            res = normalize_frontier(violating)
         else:
             new_tuple = store.row_at_rank(k)
             # Only patterns the new tuple satisfies can have changed counts.
-            affected = [
-                p for p in (*res, *dres) if satisfies(new_tuple, p)
-            ]
+            affected = [p for p in violating if satisfies(new_tuple, p)]
             crossed = False
             for p in affected:
                 stats.examined += 1
@@ -60,31 +59,10 @@ def global_bounds(
                 if not spec.violates(st.topk(k), st.size, k, store.n):
                     # p crossed the bound: drop it and resume the top-down
                     # search from its search-tree children (searchFromNode).
-                    res.discard(p)
-                    dres.discard(p)
-                    resume_search(store, spec, tau, k, stats, p, res, dres)
+                    violating.discard(p)
+                    resume_search(store, spec, tau, k, stats, p, violating)
                     crossed = True
             if crossed:
-                # The frontier changed: re-split into most-general (Res)
-                # and dominated (DRes). Steps without crossers leave the
-                # split intact, so the pass is skipped.
-                normalize_frontier(res, dres)
-        out[k] = frozenset(res)
+                res = normalize_frontier(violating)
+        out[k] = res
     return SearchResult(res=out, stats=stats)
-
-
-def normalize_frontier(res: set, dres: set) -> None:
-    """Recompute the Res/DRes split of the violating frontier in place.
-
-    ``Res ∪ DRes`` is the set of generated currently-violating patterns; the
-    most general ones (no violating ancestor in the union) belong in Res,
-    the rest in DRes. Doing this as a closed-form pass (rather than chained
-    promotions/demotions) keeps the split correct regardless of the order in
-    which crossers were processed within the step.
-    """
-    violating = res | dres
-    new_res = {p for p in violating if not has_ancestor_in(p, violating)}
-    res.clear()
-    res.update(new_res)
-    dres.clear()
-    dres.update(violating - new_res)

@@ -3,6 +3,7 @@ range (Section IV-A). Handles both problem definitions through the spec."""
 from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, PropSpec
+from repro.core.pattern import normalize_frontier
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import top_down_search
@@ -21,6 +22,6 @@ def iter_td(
     stats = SearchStats(deadline=deadline)
     res = {}
     for k in range(k_min, k_max + 1):
-        res_k, _ = top_down_search(store, spec, tau, k, stats)
-        res[k] = frozenset(res_k)
+        violating = top_down_search(store, spec, tau, k, stats)
+        res[k] = normalize_frontier(violating)
     return SearchResult(res=res, stats=stats)

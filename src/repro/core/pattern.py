@@ -8,7 +8,8 @@ hashable, orderable and cheap — the search algorithms keep millions of them.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import AbstractSet, Iterator, Sequence
 
 #: A pattern: ``((attr_idx, value), ...)`` sorted ascending by ``attr_idx``.
 Pattern = tuple[tuple[int, str], ...]
@@ -38,31 +39,20 @@ def satisfies(row: Sequence[str], p: Pattern) -> bool:
     return all(row[a] == v for a, v in p)
 
 
-def is_subpattern(a: Pattern, p: Pattern) -> bool:
-    """True iff ``a ⊆ p`` (``a`` is an ancestor of, or equal to, ``p``)."""
-    if len(a) > len(p):
-        return False
-    ps = set(p)
-    return all(item in ps for item in a)
+def normalize_frontier(violating: AbstractSet[Pattern]) -> frozenset[Pattern]:
+    """The most general members of a violating set: those with no proper
+    subpattern in it (the paper's ``Res``; the rest is its ``DRes``).
 
-
-def has_ancestor_in(p: Pattern, pool: Iterable[Pattern]) -> bool:
-    """True iff some *proper* subpattern of ``p`` is in ``pool``."""
-    return any(len(a) < len(p) and is_subpattern(a, p) for a in pool)
-
-
-def parents(p: Pattern) -> Iterator[Pattern]:
-    """All parents of ``p`` in the *pattern graph* (one pair removed)."""
-    for i in range(len(p)):
-        yield p[:i] + p[i + 1 :]
-
-
-def tree_parent(p: Pattern) -> Pattern:
-    """The unique parent of ``p`` in the *search tree*: ``p`` minus its
-    maximal-index pair (Definition 4.1 makes this the only tree edge)."""
-    if not p:
-        raise ValueError("the empty pattern has no parent")
-    return p[:-1]
+    Each pattern's proper subpatterns are enumerated and looked up, so the
+    cost per pattern is ``2^|p|`` set lookups, independent of the set size.
+    """
+    return frozenset(
+        p
+        for p in violating
+        if not any(
+            a in violating for r in range(len(p)) for a in combinations(p, r)
+        )
+    )
 
 
 def children(

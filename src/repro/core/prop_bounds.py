@@ -9,40 +9,32 @@ stays fixed — in the map ``K``. Each step k:
 
 1. ``selectiveTD``: walk the generated search tree along nodes satisfied by
    the new tuple ``R(D)[k]`` (only their counts changed) and re-evaluate
-   each: a violating node that crossed back to passing is removed from
-   Res/DRes, given a fresh ``k̃`` and expanded (children generated on first
-   expansion); a passing node gets a recomputed ``k̃``; a passing node that
-   turned violating moves into Res/DRes.
+   each: a violating node that crossed back to passing leaves
+   ``violating``, gets a fresh ``k̃`` and is expanded (children generated on
+   first expansion); a passing node gets a recomputed ``k̃``; a passing node
+   that turned violating moves from ``K`` to ``violating``.
 2. ``K`` entries with ``k̃ ≤ k`` not satisfied by the new tuple (their count
    is unchanged, so the bound has caught up with them) become violating.
-3. The promotion pass moves DRes entries with no remaining Res ancestor
-   into Res.
+3. If ``violating`` changed, ``Res`` is derived from it again by
+   :func:`normalize_frontier`; otherwise the previous ``Res`` is reused.
 
 Deviation from the paper: the paper keeps in ``K`` only entries whose ``k̃``
 decreases monotonically along a search-tree branch (a memory optimisation);
 we keep the ``k̃`` of every passing generated pattern — same output, simpler
-bookkeeping (see DESIGN.md §2).
+bookkeeping (see DESIGN.md §2). Nor is the paper's ``DRes`` stored: it is
+``violating − Res``.
 
-Invariants (checked in tests via ``check_invariants``): ``Res ∪ DRes`` is
-the set of generated currently-violating patterns, ``Res`` its most general
-subset; every pattern that has ever passed the bound has been expanded.
+Invariants (checked in tests via ``check_invariants``): ``violating`` is
+the set of generated currently-violating patterns and ``K`` holds the other
+generated patterns, each expanded and with ``k̃ > k``.
 """
 from __future__ import annotations
 
 from repro.core.bounds import PropSpec, k_tilde
 from repro.core.global_bounds import normalize_frontier
-from repro.core.pattern import (
-    EMPTY,
-    Pattern,
-    children,
-    has_ancestor_in,
-    is_subpattern,
-    satisfies,
-)
+from repro.core.pattern import EMPTY, Pattern, children, satisfies
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
-
-_PASS, _RES, _DRES = 0, 1, 2
 
 
 class _PropState:
@@ -59,37 +51,13 @@ class _PropState:
         self.spec = spec
         self.tau = tau
         self.stats = stats
-        self.res: set[Pattern] = set()
-        self.dres: set[Pattern] = set()
-        self.state: dict[Pattern, int] = {}
+        #: Generated patterns that currently violate (``Res ∪ DRes``).
+        self.violating: set[Pattern] = set()
         self.K: dict[Pattern, int] = {}  # k̃ of passing patterns
+        #: Generated substantial children of every expanded pattern.
         self.children_of: dict[Pattern, list[Pattern]] = {}
-        self.expanded: set[Pattern] = set()
-        #: Set on any violating↔passing transition; the promote() pass only
-        #: runs when the frontier actually changed this step.
+        #: Set when ``violating`` changes; Res is only re-derived then.
         self.dirty = False
-
-    # -- bookkeeping -------------------------------------------------------
-    def _add_violating(self, p: Pattern) -> None:
-        self.K.pop(p, None)
-        if has_ancestor_in(p, self.res):
-            self.dres.add(p)
-            self.state[p] = _DRES
-        else:
-            self.res.add(p)
-            self.state[p] = _RES
-            # Unlike the global case, Res may hold descendants of a pattern
-            # that just turned violating — demote them to DRes.
-            for r in [r for r in self.res if len(p) < len(r) and is_subpattern(p, r)]:
-                self.res.discard(r)
-                self.dres.add(r)
-                self.state[r] = _DRES
-
-    def _mark_passing(self, p: Pattern, c: int, size: int, k: int) -> None:
-        self.res.discard(p)
-        self.dres.discard(p)
-        self.state[p] = _PASS
-        self.K[p] = k_tilde(c, size, self.spec.alpha, self.store.n)
 
     # -- evaluation / expansion -------------------------------------------
     def evaluate(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
@@ -101,24 +69,23 @@ class _PropState:
             self.stats.check_deadline()
         st = self.store.stat(p)
         c = st.topk(k)
-        was = self.state.get(p)
         if self.spec.violates(c, st.size, k, self.store.n):
-            if was in (_RES, _DRES):
-                return  # still violating — nothing changes
-            self.dirty = True
-            self._add_violating(p)
-        else:
-            if was != _PASS:
+            if p not in self.violating:
                 self.dirty = True
-            self._mark_passing(p, c, st.size, k)
-            if p not in self.expanded:
+                self.violating.add(p)
+                self.K.pop(p, None)
+        else:
+            if p in self.violating:
+                self.dirty = True
+                self.violating.discard(p)
+            self.K[p] = k_tilde(c, st.size, self.spec.alpha, self.store.n)
+            if p not in self.children_of:
                 self.expand(p, k, visited)
 
     def expand(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
         """Generate ``p``'s search-tree children (τ_s-substantial only) and
         evaluate each — recursing through their own expansions."""
-        self.expanded.add(p)
-        kept: list[Pattern] = []
+        kept = self.children_of[p] = []
         for child in children(p, self.store.domains):
             self.stats.examined += 1
             st = self.store.stat(child)
@@ -126,7 +93,6 @@ class _PropState:
                 continue
             kept.append(child)
             self.evaluate(child, k, visited)
-        self.children_of[p] = kept
 
     # -- per-step phases ---------------------------------------------------
     def selective_td(self, new_tuple: tuple, k: int, visited: set) -> None:
@@ -154,34 +120,17 @@ class _PropState:
         for p in due:
             self.evaluate(p, k, visited)
 
-    def promote(self) -> None:
-        """Normalize the violating frontier: Res = most general violating
-        generated patterns (no violating ancestor in Res ∪ DRes), DRes the
-        rest. A closed-form pass is order-independent, so mid-step
-        transitions (crossers removed before their descendants were seen)
-        cannot leave a stale split. Skipped when no transition happened
-        this step (the split cannot have changed)."""
-        if not self.dirty:
-            return
-        self.dirty = False
-        normalize_frontier(self.res, self.dres)
-        for p in self.res:
-            self.state[p] = _RES
-        for p in self.dres:
-            self.state[p] = _DRES
-
-    def check_invariants(self, k: int) -> None:
-        """Debug/test hook: verify the documented invariants at position k."""
+    def check_invariants(self, k: int, res: frozenset[Pattern]) -> None:
+        """Debug/test hook: verify the documented invariants at position k,
+        and that ``res`` is the Res derived from the current state."""
         n = self.store.n
-        for p in self.res | self.dres:
+        for p in self.violating:
             st = self.store.stat(p)
             assert self.spec.violates(st.topk(k), st.size, k, n), p
-        for p in self.res:
-            assert not has_ancestor_in(p, (self.res | self.dres) - {p}), p
-        for d in self.dres:
-            assert has_ancestor_in(d, self.res), d
         for p, kt in self.K.items():
-            assert self.state[p] == _PASS and kt > k, (p, kt, k)
+            assert p not in self.violating, p
+            assert kt > k and p in self.children_of, (p, kt, k)
+        assert res == normalize_frontier(self.violating), k
 
 
 def prop_bounds(
@@ -199,19 +148,21 @@ def prop_bounds(
     s = _PropState(store, spec, tau, stats)
     visited: set[Pattern] = set()
     s.expand(EMPTY, k_min, visited)  # full top-down search for k_min
-    s.promote()
-    out = {k_min: frozenset(s.res)}
+    res = normalize_frontier(s.violating)
+    out = {k_min: res}
     if _debug_invariants:
-        s.check_invariants(k_min)
+        s.check_invariants(k_min, res)
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
         visited = set()
+        s.dirty = False
         new_tuple = store.row_at_rank(k)
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
-        s.promote()
-        out[k] = frozenset(s.res)
+        if s.dirty:
+            res = normalize_frontier(s.violating)
+        out[k] = res
         if _debug_invariants:
-            s.check_invariants(k)
+            s.check_invariants(k, res)
     return SearchResult(res=out, stats=stats)

@@ -10,24 +10,34 @@ from repro.core.store import PandasStatsStore
 from repro.datasets.base import RankedDataset
 
 
+#: Seeds the equivalence grids run with ``messy=True``, on top of their own.
+MESSY_SEEDS = list(range(40, 48))
+
+
 def make_random_ranked(
     seed: int,
     n_min: int = 20,
     n_max: int = 120,
     attrs_min: int = 2,
     attrs_max: int = 5,
+    messy: bool = False,
 ) -> RankedDataset:
     """A random categorical dataset with a random total ranking. Small and
-    driver-only, for brute-force-validated grids."""
+    driver-only, for brute-force-validated grids. ``messy`` makes the
+    first attribute single-valued and about one value in ten null."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_min, n_max + 1))
     n_attrs = int(rng.integers(attrs_min, attrs_max + 1))
     cards = rng.integers(2, 5, n_attrs)
+    if messy:
+        cards[0] = 1
     data = {
         f"A{i}": rng.integers(0, cards[i], n).astype(str)
         for i in range(n_attrs)
     }
     pdf = pd.DataFrame(data)
+    if messy:
+        pdf = pdf.where(rng.random(pdf.shape) >= 0.1, None)
     pdf["rank"] = rng.permutation(n) + 1
     return RankedDataset(
         name=f"random(seed={seed})",

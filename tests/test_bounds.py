@@ -51,6 +51,12 @@ class TestPropSpec:
         assert spec.violates(2, 8, 5, 16)
         assert not spec.violates(3, 8, 5, 16)
 
+    @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf")])
+    def test_degenerate_alpha_rejected(self, alpha):
+        """Every algorithm sees the same named error, before any search."""
+        with pytest.raises(ValueError, match="alpha"):
+            PropSpec(alpha)
+
 
 class TestKTilde:
     def test_paper_example_4_7(self):

@@ -4,14 +4,19 @@ import pytest
 
 from repro.core import brute_force, global_bounds, iter_td
 from repro.core.bounds import GlobalSpec
-from tests.helpers import make_random_ranked, random_params, store_of
+from tests.helpers import (
+    MESSY_SEEDS,
+    make_random_ranked,
+    random_params,
+    store_of,
+)
 
 SEEDS = list(range(40))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", SEEDS + MESSY_SEEDS)
 def test_global_algorithms_match_brute_force(seed):
-    ds = make_random_ranked(seed)
+    ds = make_random_ranked(seed, messy=seed in MESSY_SEEDS)
     params = random_params(seed, ds.n)
     store = store_of(ds)
     spec = params["global_spec"]

@@ -7,13 +7,10 @@ from repro.core.pattern import (
     EMPTY,
     attr_indices,
     children,
-    has_ancestor_in,
-    is_subpattern,
     max_index,
-    parents,
+    normalize_frontier,
     pattern_to_str,
     satisfies,
-    tree_parent,
     values,
 )
 
@@ -51,39 +48,6 @@ def test_satisfies(row, p, expected):
     assert satisfies(row, p) is expected
 
 
-def test_is_subpattern():
-    p = ((0, "a"), (1, "x"))
-    assert is_subpattern(EMPTY, p)
-    assert is_subpattern(((0, "a"),), p)
-    assert is_subpattern(p, p)
-    assert not is_subpattern(((0, "b"),), p)
-    assert not is_subpattern(((2, "0"),), p)
-    assert not is_subpattern(((0, "a"), (1, "x"), (2, "0")), p)
-
-
-def test_has_ancestor_in_proper_only():
-    p = ((0, "a"), (1, "x"))
-    assert has_ancestor_in(p, {((0, "a"),)})
-    assert not has_ancestor_in(p, {p})  # equal is not a proper ancestor
-    assert not has_ancestor_in(p, {((0, "b"),)})
-
-
-def test_parents_enumerates_pattern_graph_edges():
-    p = ((0, "a"), (1, "x"), (2, "0"))
-    ps = set(parents(p))
-    assert ps == {
-        ((1, "x"), (2, "0")),
-        ((0, "a"), (2, "0")),
-        ((0, "a"), (1, "x")),
-    }
-
-
-def test_tree_parent_removes_max_index_pair():
-    assert tree_parent(((0, "a"), (2, "1"))) == ((0, "a"),)
-    with pytest.raises(ValueError):
-        tree_parent(EMPTY)
-
-
 def test_children_of_root_covers_all_single_attr_patterns():
     kids = list(children(EMPTY, DOMAINS))
     assert len(kids) == 2 + 3 + 2
@@ -110,19 +74,21 @@ def test_pattern_to_str():
     )
 
 
+_PAIRS = st.tuples(st.integers(0, 3), st.sampled_from("ab"))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sets(st.tuples(st.integers(0, 4), st.sampled_from("abc")), max_size=5))
-def test_subpattern_reflexive_and_antisymmetric(items):
-    """Property: every pattern is a subpattern of itself; removing any pair
-    yields a proper subpattern."""
-    by_attr = {}
-    for a, v in items:
-        by_attr[a] = v
-    p = tuple(sorted(by_attr.items()))
-    assert is_subpattern(p, p)
-    for anc in parents(p):
-        assert is_subpattern(anc, p)
-        assert not is_subpattern(p, anc) or len(p) == len(anc)
+@given(st.lists(st.frozensets(_PAIRS, max_size=4), max_size=12))
+def test_normalize_frontier_matches_pairwise_definition(pair_sets):
+    """Res is the set of patterns with no proper subpattern in the
+    violating set, whatever the set holds (the empty pattern included)."""
+    violating = {
+        tuple(sorted(dict(sorted(pairs)).items())) for pairs in pair_sets
+    }
+    expected = {
+        p for p in violating if not any(set(q) < set(p) for q in violating)
+    }
+    assert normalize_frontier(violating) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,4 +110,4 @@ def test_search_tree_parent_unique(seed):
             seen[c] = p
             stack.append(c)
     for c, par in seen.items():
-        assert par == tree_parent(c)
+        assert par == c[:-1]

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import GlobalSpec, PropSpec
-from repro.core.pattern import EMPTY, satisfies
+from repro.core.pattern import EMPTY, normalize_frontier, satisfies
 from repro.core.result import SearchStats, SearchTimeout
 from repro.core.topdown import top_down_search
 from repro.datasets.hardness import hardness_construction
@@ -27,7 +27,9 @@ class _RecordingStore:
 
 def test_res_and_dres_disjoint(paper_ds):
     store = paper_ds.pandas_store()
-    res, dres = top_down_search(store, GlobalSpec({4: 2}), 4, 4, SearchStats())
+    violating = top_down_search(store, GlobalSpec({4: 2}), 4, 4, SearchStats())
+    res = normalize_frontier(violating)
+    dres = violating - res
     assert not res & dres
     for d in dres:
         assert any(
@@ -38,7 +40,9 @@ def test_res_and_dres_disjoint(paper_ds):
 def test_violating_patterns_not_expanded(paper_ds):
     """No reported pattern may be a descendant of another reported one."""
     store = paper_ds.pandas_store()
-    res, _ = top_down_search(store, GlobalSpec({4: 2}), 1, 4, SearchStats())
+    res = normalize_frontier(
+        top_down_search(store, GlobalSpec({4: 2}), 1, 4, SearchStats())
+    )
     for p in res:
         for q in res:
             if p != q:
