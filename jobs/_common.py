@@ -54,10 +54,6 @@ def load_datasets(
     }
 
 
-def spark_store_factory(ds: RankedDataset):
-    return ds.spark_store()
-
-
 def emit(title: str, body: str) -> None:
     print(f"\n## {title}\n", flush=True)
     print(body, flush=True)

@@ -7,7 +7,7 @@ Usage: spark-submit jobs/t11_result_sizes.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
+from _common import emit, get_spark, load_datasets, parse_args
 from repro.experiments import result_size_census, sweep_krange, sweep_tau
 from t3_tau_global import ATTR_CAP, FAST_TAUS, TAUS
 from t5_krange_global import FAST_GRID, K_GRIDS
@@ -31,16 +31,13 @@ def main(
             for problem in ("global", "prop"):
                 rows += sweep_tau(
                     view, problem, FAST_TAUS if fast else TAUS,
-                    spark_store_factory, timeout_s=timeout,
+                    timeout_s=timeout,
                 )
                 grid = [
                     k for k in (FAST_GRID if fast else K_GRIDS[name])
                     if k <= ds.n
                 ]
-                rows += sweep_krange(
-                    view, problem, grid, spark_store_factory,
-                    timeout_s=timeout,
-                )
+                rows += sweep_krange(view, problem, grid, timeout_s=timeout)
     census = result_size_census(rows)
     emit(
         "T11 result-set sizes",

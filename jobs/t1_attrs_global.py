@@ -4,7 +4,7 @@ Usage: spark-submit jobs/t1_attrs_global.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
+from _common import emit, get_spark, load_datasets, parse_args
 from repro.experiments import format_rows, sweep_num_attrs
 
 ATTR_GRIDS = {
@@ -21,7 +21,7 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
     for name, ds in load_datasets(spark, fast).items():
         grid = FAST_GRID if fast else ATTR_GRIDS[name]
         rows = sweep_num_attrs(
-            ds, "global", grid, spark_store_factory, timeout_s=timeout
+            ds, "global", grid, timeout_s=timeout
         )
         out[name] = rows
         emit(f"T1 global bounds — {name}", format_rows(rows, "n_attrs"))

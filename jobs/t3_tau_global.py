@@ -7,7 +7,7 @@ Usage: spark-submit jobs/t3_tau_global.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
+from _common import emit, get_spark, load_datasets, parse_args
 from repro.experiments import format_rows, sweep_tau
 
 TAUS = [10, 25, 50, 75, 100]
@@ -21,8 +21,7 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = 
     for name, ds in load_datasets(spark, fast).items():
         view = ds.with_attrs(min(ATTR_CAP[name], len(ds.pattern_attrs)))
         rows = sweep_tau(
-            view, problem, FAST_TAUS if fast else TAUS,
-            spark_store_factory, timeout_s=timeout,
+            view, problem, FAST_TAUS if fast else TAUS, timeout_s=timeout
         )
         out[name] = rows
         emit(f"{problem} bounds, τ_s sweep — {name}", format_rows(rows, "tau"))

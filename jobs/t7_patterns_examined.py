@@ -10,7 +10,7 @@ Usage: spark-submit jobs/t7_patterns_examined.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
+from _common import emit, get_spark, load_datasets, parse_args
 from repro.experiments import DEFAULTS, sweep_krange
 from repro.experiments.sweeps import examined_gain
 from t3_tau_global import ATTR_CAP
@@ -36,8 +36,7 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
         for problem in ("global", "prop"):
             for k_max in (DEFAULTS.k_max, k_wide):
                 rows = sweep_krange(
-                    view, problem, [k_max], spark_store_factory,
-                    timeout_s=timeout,
+                    view, problem, [k_max], timeout_s=timeout
                 )
                 row = rows[0]
                 gain = examined_gain(row)

@@ -8,6 +8,10 @@
 * :func:`k_tilde` — the minimal ``k`` at which a currently-passing pattern
   becomes violating if its top-k count stays fixed (Section IV-C).
 
+The proportional bound is compared exactly, in integers: ``α`` is taken as
+written (``Fraction(str(α))`` = p/q), so ``c < α·s·k/n`` is
+``c·n·q < p·s·k``, and ``k_tilde`` and ``violates`` cannot round apart.
+
 Only the lower-bound side is implemented, matching the paper's evaluation
 (Section III: "for ease of presentation ... only the lower bounds").
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 
@@ -78,25 +84,26 @@ class PropSpec:
             )
 
     def violates(self, c: int, size: int, k: int, n: int) -> bool:
-        """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2)."""
-        return c < self.alpha * size * k / n
+        """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2),
+        compared exactly."""
+        p, q = _ratio(self.alpha)
+        return c * n * q < p * size * k
+
+
+@lru_cache(maxsize=None)
+def _ratio(alpha: float) -> tuple[int, int]:
+    """``α`` as written, as an integer ratio p/q (0.9 → 9/10)."""
+    return Fraction(str(alpha)).as_integer_ratio()
 
 
 def k_tilde(c: int, size: int, alpha: float, n: int) -> int:
-    """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held fixed.
+    """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held fixed:
+    ``⌊c·n·q / (p·size)⌋ + 1`` for ``α = p/q``, in integers.
 
-    Closed form ``⌊c·n/(α·size)⌋ + 1`` with a float-safety nudge: the strict
-    inequality is re-checked with the same expression the search uses, so a
-    borderline floating-point rounding cannot desynchronize the two.
     Matches the paper's Example 4.7 (c=2, size=8, α=0.9, n=16 → k̃=5) and
     Example 4.9 (c=3, size=6 → k̃=9).
     """
     if size <= 0 or alpha <= 0:
         raise ValueError("size and alpha must be positive")
-    k = math.floor(c * n / (alpha * size)) + 1
-    # Nudge down while the previous k already violates, up while k does not.
-    while k > 1 and c < alpha * size * (k - 1) / n:
-        k -= 1
-    while not c < alpha * size * k / n:
-        k += 1
-    return k
+    p, q = _ratio(alpha)
+    return c * n * q // (p * size) + 1

@@ -60,10 +60,10 @@ class _PropState:
         self.dirty = False
 
     # -- evaluation / expansion -------------------------------------------
-    def evaluate(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
+    def evaluate(self, p: Pattern, k: int) -> None:
         """(Re-)evaluate the status of a generated pattern at position k;
-        expand it on a violating→passing transition."""
-        visited.add(p)
+        expand it on a violating→passing transition. Afterwards ``p``
+        either violates or has ``k̃ > k``."""
         self.stats.examined += 1
         if self.stats.examined % 512 == 0:
             self.stats.check_deadline()
@@ -80,9 +80,9 @@ class _PropState:
                 self.violating.discard(p)
             self.K[p] = k_tilde(c, st.size, self.spec.alpha, self.store.n)
             if p not in self.children_of:
-                self.expand(p, k, visited)
+                self.expand(p, k)
 
-    def expand(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
+    def expand(self, p: Pattern, k: int) -> None:
         """Generate ``p``'s search-tree children (τ_s-substantial only) and
         evaluate each — recursing through their own expansions."""
         kept = self.children_of[p] = []
@@ -92,33 +92,32 @@ class _PropState:
             if st is None or st.size < self.tau:
                 continue
             kept.append(child)
-            self.evaluate(child, k, visited)
+            self.evaluate(child, k)
 
     # -- per-step phases ---------------------------------------------------
-    def selective_td(self, new_tuple: tuple, k: int, visited: set) -> None:
+    def selective_td(self, new_tuple: tuple, k: int) -> None:
         """Walk generated nodes satisfied by the new tuple (they form a
-        connected subtree rooted at the empty pattern), re-evaluating each."""
+        connected subtree rooted at the empty pattern), re-evaluating each.
+
+        A node's children are read before it is evaluated: a node expanded
+        by that evaluation has just had its children evaluated, so none of
+        them is pushed again."""
         stack = [
-            c
-            for c in self.children_of.get(EMPTY, [])
-            if satisfies(new_tuple, c)
+            c for c in self.children_of[EMPTY] if satisfies(new_tuple, c)
         ]
         while stack:
             p = stack.pop()
-            if p not in visited:
-                self.evaluate(p, k, visited)
-            stack.extend(
-                c
-                for c in self.children_of.get(p, [])
-                if c not in visited and satisfies(new_tuple, c)
-            )
+            kids = self.children_of.get(p, ())
+            self.evaluate(p, k)
+            stack.extend(c for c in kids if satisfies(new_tuple, c))
 
-    def fire_k_tilde(self, k: int, visited: set[Pattern]) -> None:
+    def fire_k_tilde(self, k: int) -> None:
         """Patterns whose ``k̃`` has been reached without a count change are
-        now violating (Algorithm 3, line 6)."""
-        due = [p for p, kt in self.K.items() if kt <= k and p not in visited]
+        now violating (Algorithm 3, line 6). A pattern evaluated at this k
+        already violates or has ``k̃ > k``, so none is evaluated twice."""
+        due = [p for p, kt in self.K.items() if kt <= k]
         for p in due:
-            self.evaluate(p, k, visited)
+            self.evaluate(p, k)
 
     def check_invariants(self, k: int, res: frozenset[Pattern]) -> None:
         """Debug/test hook: verify the documented invariants at position k,
@@ -146,8 +145,7 @@ def prop_bounds(
     for every k in ``[k_min, k_max]`` (Algorithm 3)."""
     stats = SearchStats(deadline=deadline)
     s = _PropState(store, spec, tau, stats)
-    visited: set[Pattern] = set()
-    s.expand(EMPTY, k_min, visited)  # full top-down search for k_min
+    s.expand(EMPTY, k_min)  # full top-down search for k_min
     res = normalize_frontier(s.violating)
     out = {k_min: res}
     if _debug_invariants:
@@ -155,11 +153,9 @@ def prop_bounds(
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
-        visited = set()
         s.dirty = False
-        new_tuple = store.row_at_rank(k)
-        s.selective_td(new_tuple, k, visited)
-        s.fire_k_tilde(k, visited)
+        s.selective_td(store.row_at_rank(k), k)
+        s.fire_k_tilde(k)
         if s.dirty:
             res = normalize_frontier(s.violating)
         out[k] = res

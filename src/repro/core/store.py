@@ -7,30 +7,37 @@ the entire k-range and every algorithm, so runtime differences between
 ITERTD and the optimized algorithms reflect patterns examined (the paper's
 metric), not redundant counting.
 
-Two implementations that share no counting code:
+:class:`BaseStatsStore` holds what every store shares: the rank-ordered
+rows behind ``row_at_rank``, the sorted active ``domains``, the memos of
+``stat`` (per pattern) and ``group`` (per attribute set), and the
+``jobs``/``lookups``/``agg_seconds`` counters. A store supplies only its
+rows, its domains and how it counts, in two implementations that share no
+counting code:
 
-* :class:`SparkStatsStore` — the production path. Building it runs one Spark
-  query: the pattern attributes cast to string, plus ``rank``, ordered by
-  rank and collected to the driver. Every statistic is then answered on the
-  driver by vertical bitmap counting, as in Eclat (Zaki, "Scalable
-  algorithms for association mining", TKDE 2000): one boolean mask per
-  (attribute, value) in rank order, and a pattern's tuples are the AND of
-  its pairs' masks. The masks take ``n·Σ|dom|`` bytes (one byte per
-  tuple and value: about 10 KB for Student at 5 attributes, 340 KB for
-  COMPAS at 16); the per-pattern memo of rank lists is larger.
-* :class:`PandasStatsStore` — a pandas ``groupby`` per attribute set over a
-  pandas mirror; the independent reference the Spark store is tested
-  against. A dedicated test module asserts Spark ≡ pandas ≡ DuckDB (via
-  ``repro.oracle``).
+* :class:`SparkStatsStore` — the store every experiment, job and benchmark
+  detection runs on. Building it runs one Spark query: the pattern
+  attributes cast to string, plus ``rank``, ordered by rank and collected
+  to the driver. Every statistic is then answered on the driver by
+  vertical bitmap counting, as in Eclat (Zaki, "Scalable algorithms for
+  association mining", TKDE 2000): one boolean mask per (attribute, value)
+  in rank order, and a pattern's tuples are the AND of its pairs' masks.
+  The masks take ``n·Σ|dom|`` bytes (one byte per tuple and value: about
+  10 KB for Student at 5 attributes, 340 KB for COMPAS at 16); the
+  per-pattern memo of rank lists is larger.
+* :class:`PandasStatsStore` — a pandas ``groupby`` per attribute set, and a
+  pattern is a lookup in its group. It is the independent reference that
+  the Spark store is tested against (Spark ≡ pandas ≡ DuckDB, via
+  ``repro.oracle``) and that the benchmark's brute-force oracle reads.
 
 Null policy: a null pattern-attribute value matches no pattern, so it is in
 no domain and no group (pandas ``groupby`` drops null keys; the masks skip
-them).
+them), and ``row_at_rank`` gives ``None`` for it.
 """
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,44 +64,53 @@ GroupStats = dict[tuple[str, ...], PatternStat]
 
 
 class BaseStatsStore:
-    """Shared memoisation, domain discovery and lookup logic."""
+    """Rows, domains, memos and counters shared by every store.
 
-    def __init__(self, attr_names: Sequence[str], rank_col: str = "rank"):
+    A subclass hands its rank-ordered rows and sorted domains to this
+    constructor and implements ``_count`` (one pattern) and ``_aggregate``
+    (every value combination of one attribute set).
+    """
+
+    def __init__(
+        self,
+        attr_names: Sequence[str],
+        rows: list[tuple[str | None, ...]],
+        domains: list[list[str]],
+    ):
         self.attr_names = list(attr_names)
-        self.rank_col = rank_col
+        self.n = len(rows)
+        #: Active domain of each attribute, sorted for determinism.
+        self.domains = domains
+        self._rows = rows
+        self._stats: dict[Pattern, PatternStat | None] = {
+            (): PatternStat(self.n, tuple(range(1, self.n + 1)))
+        }
         self._groups: dict[tuple[int, ...], GroupStats] = {}
-        self._row_values: list[tuple[str, ...]] | None = None
         self.jobs = 0  # statistics computed on a memo miss
         self.lookups = 0  # stat() calls served
         #: Wall-clock seconds spent computing statistics. The experiment
         #: tables report search time = total − agg time, isolating the
         #: paper's algorithmic cost from the (shared) counting substrate.
         self.agg_seconds = 0.0
-        self.n = self._count_rows()
-        self._domains: list[list[str]] | None = None
 
     # -- to be provided by subclasses -------------------------------------
-    def _count_rows(self) -> int:
+    def _count(self, p: Pattern) -> PatternStat | None:
         raise NotImplementedError
 
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         raise NotImplementedError
 
-    def _collect_rows(self) -> list[tuple[str, ...]]:
-        """All tuples' pattern-attribute values, ordered by rank (1..n)."""
-        raise NotImplementedError
+    @contextmanager
+    def _job(self):
+        """Count the enclosed statistic computation as one job."""
+        self.jobs += 1
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            self.agg_seconds += time.monotonic() - start
 
     # -- public API --------------------------------------------------------
-    @property
-    def domains(self) -> list[list[str]]:
-        """Active domain of each attribute, sorted for determinism."""
-        if self._domains is None:
-            doms = []
-            for i in range(len(self.attr_names)):
-                doms.append(sorted(v[0] for v in self.group((i,))))
-            self._domains = doms
-        return self._domains
-
     def group(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         """Stats for every existing value combination over ``attr_idxs``.
 
@@ -103,38 +119,29 @@ class BaseStatsStore:
         """
         g = self._groups.get(attr_idxs)
         if g is None:
-            self.jobs += 1
-            start = time.monotonic()
-            g = self._aggregate(attr_idxs)
-            self.agg_seconds += time.monotonic() - start
-            self._groups[attr_idxs] = g
+            with self._job():
+                g = self._groups[attr_idxs] = self._aggregate(attr_idxs)
         return g
 
     def stat(self, p: Pattern) -> PatternStat | None:
-        """Stats of one pattern (``None`` if no tuple satisfies it)."""
+        """Stats of one pattern (``None`` if no tuple satisfies it),
+        memoised per pattern."""
         self.lookups += 1
-        if not p:
-            return PatternStat(self.n, tuple(range(1, self.n + 1)))
-        return self.group(attr_indices(p)).get(pattern_values(p))
+        try:
+            return self._stats[p]
+        except KeyError:
+            st = self._stats[p] = self._count(p)
+            return st
 
-    def size(self, p: Pattern) -> int:
-        s = self.stat(p)
-        return 0 if s is None else s.size
-
-    def topk_count(self, p: Pattern, k: int) -> int:
-        s = self.stat(p)
-        return 0 if s is None else s.topk(k)
-
-    def row_at_rank(self, k: int) -> tuple[str, ...]:
+    def row_at_rank(self, k: int) -> tuple[str | None, ...]:
         """Pattern-attribute values of ``R(D)[k]``, the k-th ranked tuple
         (needed by the incremental algorithms)."""
-        if self._row_values is None:
-            self._row_values = self._collect_rows()
-        return self._row_values[k - 1]
+        return self._rows[k - 1]
 
 
 class PandasStatsStore(BaseStatsStore):
-    """Pattern statistics over a pandas DataFrame (tests / brute force)."""
+    """Pattern statistics from a pandas ``groupby`` per attribute set: the
+    reference for the store tests and the benchmark oracle."""
 
     def __init__(
         self,
@@ -143,10 +150,19 @@ class PandasStatsStore(BaseStatsStore):
         rank_col: str = "rank",
     ):
         self._pdf = pdf.reset_index(drop=True)
-        super().__init__(attr_names, rank_col)
+        self.rank_col = rank_col
+        ordered = self._pdf.sort_values(rank_col)[list(attr_names)]
+        rows = [
+            tuple(None if pd.isna(v) else str(v) for v in row)
+            for row in ordered.itertuples(index=False)
+        ]
+        domains = [
+            sorted(self._pdf[a].dropna().map(str).unique()) for a in attr_names
+        ]
+        super().__init__(attr_names, rows, domains)
 
-    def _count_rows(self) -> int:
-        return len(self._pdf)
+    def _count(self, p: Pattern) -> PatternStat | None:
+        return self.group(attr_indices(p)).get(pattern_values(p))
 
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         cols = [self.attr_names[i] for i in attr_idxs]
@@ -159,22 +175,14 @@ class PandasStatsStore(BaseStatsStore):
             out[key_t] = PatternStat(len(sorted_ranks), sorted_ranks)
         return out
 
-    def _collect_rows(self) -> list[tuple[str, ...]]:
-        ordered = self._pdf.sort_values(self.rank_col)
-        return [
-            tuple(str(v) for v in row)
-            for row in ordered[self.attr_names].itertuples(index=False)
-        ]
-
 
 class SparkStatsStore(BaseStatsStore):
     """Pattern statistics from one Spark collect and driver-side bitmaps.
 
     ``df`` must carry the pattern attributes plus a dense 1-based integer
     ``rank`` column (see ``repro.ranking.rankers.add_rank``). Building the
-    store runs :meth:`query` once; :meth:`stat` is then the AND of the
-    (attribute, value) masks of the pattern's pairs, memoised per pattern.
-    ``row_at_rank`` serves the collected rows, with ``None`` for a null.
+    store runs :meth:`query` once; a pattern's statistic is then the AND of
+    the (attribute, value) masks of its pairs.
     """
 
     def __init__(
@@ -186,16 +194,14 @@ class SparkStatsStore(BaseStatsStore):
         rows = self.query(df, attr_names, rank_col).collect()
         if [r[rank_col] for r in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{rank_col} must be a dense 1..n column")
-        self._rows = [tuple(r)[:-1] for r in rows]
-        super().__init__(attr_names, rank_col)
-        self._stats: dict[Pattern, PatternStat | None] = {}
-        self._all = np.ones(self.n, dtype=bool)
+        rows = [tuple(r)[:-1] for r in rows]
+        self._all = np.ones(len(rows), dtype=bool)
         self._masks: list[dict[str, np.ndarray]] = []
-        for i in range(len(self.attr_names)):
-            col = np.array([row[i] for row in self._rows], dtype=object)
+        for i in range(len(attr_names)):
+            col = np.array([row[i] for row in rows], dtype=object)
             values = {v for v in col if v is not None}
             self._masks.append({v: col == v for v in values})
-        self._domains = [sorted(m) for m in self._masks]
+        super().__init__(attr_names, rows, [sorted(m) for m in self._masks])
 
     @staticmethod
     def query(
@@ -208,28 +214,12 @@ class SparkStatsStore(BaseStatsStore):
             F.col(rank_col).cast("long").alias(rank_col),
         ).orderBy(rank_col)
 
-    def _count_rows(self) -> int:
-        return len(self._rows)
-
-    def _collect_rows(self) -> list[tuple[str, ...]]:
-        return self._rows
-
-    def stat(self, p: Pattern) -> PatternStat | None:
-        self.lookups += 1
-        try:
-            return self._stats[p]
-        except KeyError:
-            pass
-        self.jobs += 1
-        start = time.monotonic()
-        masks = [self._masks[a].get(v) for a, v in p]
-        if any(m is None for m in masks):
-            st = None
-        else:
-            st = self._stat_of(np.logical_and.reduce([self._all, *masks]))
-        self._stats[p] = st
-        self.agg_seconds += time.monotonic() - start
-        return st
+    def _count(self, p: Pattern) -> PatternStat | None:
+        with self._job():
+            masks = [self._masks[a].get(v) for a, v in p]
+            if any(m is None for m in masks):
+                return None
+            return self._stat_of(np.logical_and.reduce([self._all, *masks]))
 
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         """Every non-empty value combination, one attribute at a time."""

@@ -19,6 +19,9 @@ ALGORITHMS = {
     ("prop", "optimized"): prop_bounds,
 }
 
+#: The bound specification each problem is defined by.
+SPECS = {"global": GlobalSpec, "prop": PropSpec}
+
 
 @dataclass
 class RunOutcome:
@@ -61,8 +64,13 @@ def run_algorithm(
     ``timed_out`` outcome instead of raising (matching the paper's
     10-minute-timeout sweeps where slow points are reported as such).
 
-    Raises ``ValueError`` naming the parameter when ``tau < 1``,
-    ``k_min < 1``, ``k_min > k_max`` or ``k_max > store.n``."""
+    Raises ``ValueError`` naming the parameter when ``spec`` is not the
+    kind of bounds ``problem`` is defined by, ``tau < 1``, ``k_min < 1``,
+    ``k_min > k_max`` or ``k_max > store.n``."""
+    if not isinstance(spec, SPECS.get(problem, ())):
+        raise ValueError(
+            f"problem {problem!r} does not take a {type(spec).__name__}"
+        )
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
     if k_min < 1:

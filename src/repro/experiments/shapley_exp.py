@@ -1,16 +1,18 @@
 """Shared driver for the Shapley experiments (T8 = Fig. 10a–c aggregated
 Shapley values, T9 = Fig. 10d–f value distributions).
 
-For each dataset: detect groups with GLOBALBOUNDS at the paper's default
-bounds, pick the detected group analogous to the paper's example (mother's
-education for Student, the age bucket for COMPAS, account status for German
-Credit — falling back to the largest detected group), train the CART-forest
-ranker surrogate on all attributes, and aggregate Monte-Carlo Shapley
-values over the group with the distributed mapInPandas + avg pipeline.
+For each dataset: detect groups with GLOBALBOUNDS on the Spark store at the
+paper's default bounds, pick the detected group analogous to the paper's
+example (mother's education for Student, the age bucket for COMPAS, account
+status for German Credit — falling back to the largest detected group),
+train the CART-forest ranker surrogate on all attributes, and aggregate
+Monte-Carlo Shapley values over the group with the distributed
+mapInPandas + avg pipeline.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -19,6 +21,7 @@ from pyspark.sql import SparkSession
 from repro.core import global_bounds
 from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
+from repro.core.store import BaseStatsStore
 from repro.datasets.base import RankedDataset
 from repro.shapley import (
     RegressionForest,
@@ -57,18 +60,17 @@ class ShapleyAnalysis:
 
 
 def pick_group(
-    ds: RankedDataset, res_k: frozenset, search_attrs: list[str]
+    res_k: Iterable[Pattern], store: BaseStatsStore, preferred: str | None
 ) -> Pattern:
-    """The detected group to explain: prefer a singleton over the paper's
-    attribute, else the largest detected group."""
-    preferred = PREFERRED_ATTR.get(ds.name)
+    """The detected group to explain: the largest singleton over the
+    ``preferred`` attribute, else the largest singleton, else the largest
+    detected group. Ties go to the first pattern in sorted order, so the
+    pick does not depend on iteration order."""
     singles = [p for p in res_k if len(p) == 1]
-    for p in singles:
-        if search_attrs[p[0][0]] == preferred:
-            return p
-    store = ds.pandas_store()
-    pool = singles or list(res_k)
-    return max(pool, key=store.size)
+    pool = [
+        p for p in singles if store.attr_names[p[0][0]] == preferred
+    ] or singles or list(res_k)
+    return min(pool, key=lambda p: (-store.stat(p).size, p))
 
 
 def shapley_analysis(
@@ -82,12 +84,12 @@ def shapley_analysis(
 ) -> ShapleyAnalysis:
     """Run detection + Shapley explanation for one dataset."""
     view = ds.with_attrs(min(detect_attrs, len(ds.pattern_attrs)))
-    store = view.pandas_store()
+    store = view.spark_store()
     spec = paper_default_global()
     res = global_bounds(store, spec, tau, 10, k).res[k]
     if not res:
         raise RuntimeError(f"no detected groups on {ds.name} at k={k}")
-    group = pick_group(ds, res, view.pattern_attrs)
+    group = pick_group(res, store, PREFERRED_ATTR.get(ds.name))
 
     X, y, names = encode_features(ds)
     model = RegressionForest(n_trees=8, max_depth=9, seed=seed).fit(X, y)

@@ -1,22 +1,19 @@
 """Parameter sweeps behind the paper's Figures 4–9 and the in-text
 patterns-examined / result-size statistics.
 
-Each sweep point builds a *fresh* store per algorithm, so the measured time
-includes computing every pattern statistic for baseline and optimized
-alike — the paper measures complete runs the same way. ``store_factory``
-selects the substrate: ``RankedDataset.spark_store`` for the real
-experiments, ``RankedDataset.pandas_store`` for fast smoke tests.
+Each sweep point builds a *fresh* Spark store (``RankedDataset.spark_store``)
+per algorithm, so the measured time includes computing every pattern
+statistic for baseline and optimized alike — the paper measures complete
+runs the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.bounds import GlobalSpec, PropSpec, paper_default_global
 from repro.datasets.base import RankedDataset
 from repro.experiments.runner import RunOutcome, run_algorithm
-
-StoreFactory = Callable[[RankedDataset], object]
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ _ALGOS = ("baseline", "optimized")
 
 def _point(
     ds: RankedDataset,
-    store_factory: StoreFactory,
     problem: str,
     spec,
     tau: int,
@@ -52,9 +48,8 @@ def _point(
 ) -> dict[str, RunOutcome]:
     out = {}
     for algo in _ALGOS:
-        store = store_factory(ds)
         out[algo] = run_algorithm(
-            store, problem, algo, spec, tau, k_min, k_max, timeout_s
+            ds.spark_store(), problem, algo, spec, tau, k_min, k_max, timeout_s
         )
     return out
 
@@ -63,7 +58,6 @@ def sweep_num_attrs(
     ds: RankedDataset,
     problem: str,
     attr_counts: Sequence[int],
-    store_factory: StoreFactory,
     defaults: Defaults = DEFAULTS,
     timeout_s: float | None = 120.0,
 ) -> list[dict]:
@@ -71,7 +65,7 @@ def sweep_num_attrs(
     rows = []
     for m in attr_counts:
         point = _point(
-            ds.with_attrs(m), store_factory, problem,
+            ds.with_attrs(m), problem,
             defaults.spec(problem), defaults.tau,
             defaults.k_min, defaults.k_max, timeout_s,
         )
@@ -83,7 +77,6 @@ def sweep_tau(
     ds: RankedDataset,
     problem: str,
     taus: Sequence[int],
-    store_factory: StoreFactory,
     defaults: Defaults = DEFAULTS,
     timeout_s: float | None = 120.0,
 ) -> list[dict]:
@@ -91,7 +84,7 @@ def sweep_tau(
     rows = []
     for tau in taus:
         point = _point(
-            ds, store_factory, problem, defaults.spec(problem), tau,
+            ds, problem, defaults.spec(problem), tau,
             defaults.k_min, defaults.k_max, timeout_s,
         )
         rows.append({"dataset": ds.name, "tau": tau, **point})
@@ -112,7 +105,6 @@ def sweep_krange(
     ds: RankedDataset,
     problem: str,
     k_maxes: Sequence[int],
-    store_factory: StoreFactory,
     defaults: Defaults = DEFAULTS,
     timeout_s: float | None = 120.0,
 ) -> list[dict]:
@@ -122,7 +114,7 @@ def sweep_krange(
     for k_max in k_maxes:
         spec = _krange_spec(problem, defaults.k_min, k_max, defaults)
         point = _point(
-            ds, store_factory, problem, spec, defaults.tau,
+            ds, problem, spec, defaults.tau,
             defaults.k_min, k_max, timeout_s,
         )
         rows.append({"dataset": ds.name, "k_max": k_max, **point})

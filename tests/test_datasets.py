@@ -3,6 +3,7 @@ ranking consistency and determinism (see DESIGN.md §3)."""
 import pandas as pd
 import pytest
 
+from repro.core.bounds import PropSpec
 from repro.datasets import compas, german_credit, student
 from repro.datasets.base import RankedDataset, bucketize
 
@@ -76,11 +77,11 @@ class TestStudent:
         under-represented in the top-10 relative to α=0.8 proportionality."""
         pdf = student_ds.pdf
         top10 = pdf[pdf["rank"] <= 10]
-        n = len(pdf)
-        f_bound = 0.8 * (pdf["sex"] == "F").sum() * 10 / n
-        r_bound = 0.8 * (pdf["address"] == "R").sum() * 10 / n
-        assert (top10["sex"] == "F").sum() < f_bound
-        assert (top10["address"] == "R").sum() < r_bound
+        spec = PropSpec(0.8)
+        for attr, value in (("sex", "F"), ("address", "R")):
+            c = int((top10[attr] == value).sum())
+            size = int((pdf[attr] == value).sum())
+            assert spec.violates(c, size, 10, len(pdf)), attr
 
 
 class TestCompas:

@@ -70,5 +70,6 @@ def test_results_only_contain_substantial_patterns(paper_ds):
     res = global_bounds(store, spec, 6, 4, 10).res
     for k, patterns in res.items():
         for p in patterns:
-            assert store.size(p) >= 6
-            assert store.topk_count(p, k) < 3
+            st = store.stat(p)
+            assert st.size >= 6
+            assert st.topk(k) < 3

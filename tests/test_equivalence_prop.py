@@ -50,13 +50,13 @@ def test_prop_full_range(seed):
 def test_prop_results_satisfy_definition(paper_ds):
     """Problem 3.2 spelled out on the reported patterns."""
     store = paper_ds.pandas_store()
-    alpha = 0.9
-    res = prop_bounds(store, PropSpec(alpha), 4, 4, 10).res
+    spec = PropSpec(0.9)
+    res = prop_bounds(store, spec, 4, 4, 10).res
     for k, patterns in res.items():
         for p in patterns:
-            size = store.size(p)
-            assert size >= 4
-            assert store.topk_count(p, k) < alpha * size * k / store.n
+            st = store.stat(p)
+            assert st.size >= 4
+            assert spec.violates(st.topk(k), st.size, k, store.n)
 
 
 def test_prop_tiny_alpha_only_zero_count_patterns(paper_ds):
@@ -66,4 +66,4 @@ def test_prop_tiny_alpha_only_zero_count_patterns(paper_ds):
     res = prop_bounds(store, PropSpec(1e-9), 1, 2, 10, _debug_invariants=True).res
     for k, patterns in res.items():
         for p in patterns:
-            assert store.topk_count(p, k) == 0
+            assert store.stat(p).topk(k) == 0

@@ -1,7 +1,7 @@
 """Tests for the experiment harness (runner, sweeps, tables)."""
 import pytest
 
-from repro.core.bounds import GlobalSpec
+from repro.core.bounds import GlobalSpec, PropSpec
 from repro.experiments import (
     DEFAULTS,
     format_rows,
@@ -11,13 +11,8 @@ from repro.experiments import (
     sweep_tau,
 )
 from repro.experiments.runner import run_algorithm
+from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
-from repro.datasets.base import RankedDataset
-
-
-def _pandas_factory(ds: RankedDataset):
-    return ds.pandas_store()
-
 
 SMALL = Defaults(tau=3, k_min=3, k_max=10, alpha=0.8)
 
@@ -64,21 +59,29 @@ class TestRunner:
                 GlobalSpec({3: 2}), tau, k_min, k_max,
             )
 
+    @pytest.mark.parametrize("algo", ["baseline", "optimized"])
+    @pytest.mark.parametrize(
+        "problem, spec", [("global", PropSpec(0.8)), ("prop", GlobalSpec({3: 2}))]
+    )
+    def test_spec_must_match_problem(self, paper_ds, problem, spec, algo):
+        with pytest.raises(ValueError, match="problem"):
+            run_algorithm(paper_ds.pandas_store(), problem, algo, spec, 3, 3, 10)
+
 
 class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_num_attrs(self, paper_ds, problem):
+    def test_sweep_num_attrs(self, paper_ds_spark, problem):
         rows = sweep_num_attrs(
-            paper_ds, problem, [2, 3, 4], _pandas_factory, SMALL, None
+            paper_ds_spark, problem, [2, 3, 4], SMALL, None
         )
         assert [r["n_attrs"] for r in rows] == [2, 3, 4]
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_tau(self, paper_ds, problem):
+    def test_sweep_tau(self, paper_ds_spark, problem):
         rows = sweep_tau(
-            paper_ds, problem, [2, 4, 8], _pandas_factory, SMALL, None
+            paper_ds_spark, problem, [2, 4, 8], SMALL, None
         )
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
@@ -88,24 +91,24 @@ class TestSweeps:
         )
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_krange(self, paper_ds, problem):
+    def test_sweep_krange(self, paper_ds_spark, problem):
         rows = sweep_krange(
-            paper_ds, problem, [8, 12, 16], _pandas_factory, SMALL, None
+            paper_ds_spark, problem, [8, 12, 16], SMALL, None
         )
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
         assert rows[-1]["baseline"].examined > rows[0]["baseline"].examined
 
-    def test_examined_gain_positive_on_wide_range(self, paper_ds):
+    def test_examined_gain_positive_on_wide_range(self, paper_ds_spark):
         rows = sweep_krange(
-            paper_ds, "global", [16], _pandas_factory, SMALL, None
+            paper_ds_spark, "global", [16], SMALL, None
         )
         gain = examined_gain(rows[0])
         assert gain is not None and 0 < gain < 1
 
-    def test_result_size_census(self, paper_ds):
+    def test_result_size_census(self, paper_ds_spark):
         rows = sweep_tau(
-            paper_ds, "global", [2, 4], _pandas_factory, SMALL, None
+            paper_ds_spark, "global", [2, 4], SMALL, None
         )
         census = result_size_census(rows)
         assert census["result_sets"] > 0
@@ -114,9 +117,25 @@ class TestSweeps:
         assert census["fraction"] == 1.0
 
 
+class TestPickGroup:
+    @pytest.mark.parametrize(
+        "preferred, expected",
+        [("School", ((1, "GP"),)), ("Failures", ((0, "F"),))],
+    )
+    def test_pick_is_independent_of_candidate_order(
+        self, paper_ds, preferred, expected
+    ):
+        """{Gender=F}, {School=GP} and {School=MS} all have 8 tuples, so
+        only the sorted-pattern tie-break decides."""
+        store = paper_ds.pandas_store()
+        candidates = [((1, "MS"),), ((0, "F"),), ((1, "GP"),), ((0, "F"), (2, "R"))]
+        for order in (candidates, candidates[::-1]):
+            assert pick_group(order, store, preferred) == expected
+
+
 class TestTables:
-    def test_format_rows_markdown(self, paper_ds):
-        rows = sweep_tau(paper_ds, "global", [2], _pandas_factory, SMALL, None)
+    def test_format_rows_markdown(self, paper_ds_spark):
+        rows = sweep_tau(paper_ds_spark, "global", [2], SMALL, None)
         md = format_rows(rows, "tau")
         assert md.startswith("| tau |")
         assert "| 2 |" in md

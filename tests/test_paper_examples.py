@@ -119,8 +119,8 @@ class TestExample49PropBounds:
 
     def test_k_tilde_values_of_example(self, store):
         """k̃ of the patterns discussed in Example 4.9 (α=0.9, n=16)."""
-        c_m = store.topk_count(((G, "M"),), 4)
-        c_f = store.topk_count(((G, "F"),), 4)
+        c_m = store.stat(((G, "M"),)).topk(4)
+        c_f = store.stat(((G, "F"),)).topk(4)
         assert (c_m, c_f) == (2, 2)
         assert k_tilde(2, 8, 0.9, 16) == 5  # {Gender=M}, {Gender=F}
         assert k_tilde(3, 8, 0.9, 16) == 7  # {School=MS}, {Address=R}

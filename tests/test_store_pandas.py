@@ -39,8 +39,8 @@ class TestStoreBasics:
 
     def test_example_2_4_school_counts_at_5(self, store):
         """Example 2.4: one GP student in the top-5, L=2 violated."""
-        assert store.topk_count(((1, "GP"),), 5) == 1
-        assert store.topk_count(((1, "MS"),), 5) == 4
+        assert store.stat(((1, "GP"),)).topk(5) == 1
+        assert store.stat(((1, "MS"),)).topk(5) == 4
 
     def test_two_attr_group(self, store):
         st = store.stat(((1, "MS"), (2, "R")))
@@ -51,8 +51,7 @@ class TestStoreBasics:
             paper_example().pdf, ["Gender", "School", "Address", "Failures"]
         )
         assert fresh.stat(((0, "X"),)) is None
-        assert fresh.size(((0, "X"),)) == 0
-        assert fresh.topk_count(((0, "X"),), 5) == 0
+        assert fresh.stat(((0, "F"), (3, "X"))) is None
 
     def test_domains_sorted(self, store):
         assert store.domains == [
@@ -81,9 +80,10 @@ class TestStoreBasics:
         """s_D and s_{R^k} never grow when a pattern is specialized."""
         parent = ((0, "F"),)
         child = ((0, "F"), (1, "GP"))
-        assert store.size(child) <= store.size(parent)
+        c, p = store.stat(child), store.stat(parent)
+        assert c.size <= p.size
         for k in range(1, 17):
-            assert store.topk_count(child, k) <= store.topk_count(parent, k)
+            assert c.topk(k) <= p.topk(k)
 
     def test_group_sizes_partition_dataset(self, store):
         for attrs in [(0,), (1,), (0, 1), (0, 1, 2, 3)]:
